@@ -103,6 +103,7 @@ class AsterixInstance:
 
     @staticmethod
     def _load_config(marker: str) -> ClusterConfig:
+        import dataclasses
         import json
 
         from repro.common.config import (
@@ -114,6 +115,10 @@ class AsterixInstance:
 
         with open(marker) as f:
             data = json.load(f)
+        # a marker written before an executor knob was retired still opens
+        known = {f.name for f in dataclasses.fields(ExecutorConfig)}
+        executor = {k: v for k, v in data.get("executor", {}).items()
+                    if k in known}
         return ClusterConfig(
             num_nodes=data["num_nodes"],
             partitions_per_node=data["partitions_per_node"],
@@ -121,7 +126,7 @@ class AsterixInstance:
             frame_size=data["frame_size"],
             node=NodeConfig(**data["node"]),
             cost=CostModel(**data["cost"]),
-            executor=ExecutorConfig(**data.get("executor", {})),
+            executor=ExecutorConfig(**executor),
             resilience=ResilienceConfig(**data.get("resilience", {})),
         )
 

@@ -20,12 +20,10 @@ from repro.hyracks.expressions import (
     ColumnRef,
     Const,
     FunctionCall,
-    InlineQuery,
     ObjectConstructor,
     Quantified,
     RuntimeExpr,
     VarRef,
-    evaluate_predicate,
 )
 from repro.hyracks.job import (
     ConnectorDescriptor,
@@ -46,7 +44,6 @@ __all__ = [
     "DatasetInfo",
     "FunctionCall",
     "HashPartitionConnector",
-    "InlineQuery",
     "JobExecutor",
     "JobProfile",
     "JobResult",
@@ -67,7 +64,6 @@ __all__ = [
     "Stage",
     "VarRef",
     "build_stages",
-    "evaluate_predicate",
 ]
 
 from repro.hyracks.operators.result import ResultWriterOp  # noqa: E402

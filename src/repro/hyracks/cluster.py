@@ -474,11 +474,9 @@ class ClusterController:
         exponential backoff — up to ``config.resilience.max_job_attempts``
         attempts total."""
         job.validate()
-        if self.config.executor.compile_expressions:
-            # compile every operator's expressions into closures once per
-            # job (see docs/PERFORMANCE.md); results and the simulated
-            # clock are byte-identical with the toggle off
-            prepare_job(job, self.config)
+        # compile every operator's expressions into closures once per job
+        # (see docs/PERFORMANCE.md)
+        prepare_job(job, self.config)
         attempt = 1
         while True:
             self.ensure_alive(span)

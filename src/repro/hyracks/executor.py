@@ -51,14 +51,11 @@ from repro.resilience import NodeCrashFault, NodeState
 
 class _ConnCtx:
     """Cost sink for connector routing; the executor spreads the charge
-    across the consuming partitions afterwards.  Carries the executor's
-    ``batch_execution`` toggle so the merge connector picks the same key
-    strategy (compiled vs per-tuple) the job's operators use."""
+    across the consuming partitions afterwards."""
 
-    def __init__(self, cost_model, key_cache=None, batch_execution=True):
+    def __init__(self, cost_model, key_cache=None):
         self.cost = cost_model
         self.key_cache = key_cache
-        self.batch_execution = batch_execution
         self.network_tuples = 0
         self.cpu_us = 0.0
 
@@ -231,9 +228,7 @@ class JobExecutor:
         # route each input edge of the stage head to its partitions
         routed_per_edge = []
         for edge in job.inputs_of(stage.head):
-            conn_ctx = _ConnCtx(
-                self.config.cost, key_cache=self.key_cache,
-                batch_execution=self.exec_config.batch_execution)
+            conn_ctx = _ConnCtx(self.config.cost, key_cache=self.key_cache)
             routed = edge.connector.route(
                 outputs[edge.producer], width, conn_ctx
             )

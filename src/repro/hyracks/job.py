@@ -11,15 +11,16 @@ it in dependency order.
 
 Two execution protocols coexist on :class:`OperatorDescriptor`:
 
-* ``run(ctx, partition, inputs)`` — the original list-in/list-out form
-  every operator implements; pipeline breakers only ever run this way.
+* ``run(ctx, partition, inputs)`` — the list-in/list-out form.  Pipeline
+  breakers implement it; streaming operators inherit one that runs
+  their task over the whole input (``start`` → one ``push`` →
+  ``finish``).
 * ``start(ctx, partition)``/``run_iter(...)`` — the push/pull streaming
   forms.  ``streaming = True`` operators return an :class:`OperatorTask`
   from ``start`` that consumes input one frame at a time; sources may
-  override ``run_iter`` to *produce* output incrementally.  Streaming
-  implementations must issue the exact same cost charges, in the same
-  order, as ``run`` would (defer batch charges to ``finish``), so the
-  simulated clock is byte-identical whichever protocol executes.
+  override ``run_iter`` to *produce* output incrementally.  A streaming
+  task defers its batch cost charges to ``finish``, so the simulated
+  clock is byte-identical however the input is split into frames.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ class OperatorDescriptor:
 
     ``run(ctx, partition, inputs)`` consumes one list of tuples per input
     port (already routed to this partition) and returns this partition's
-    output tuples.  ``num_inputs`` declares the port count.
+    output tuples.  ``num_inputs`` declares the port count.  Streaming
+    operators implement ``start`` and inherit ``run``; every other
+    operator overrides ``run``.
     """
 
     num_inputs = 1
@@ -88,16 +91,21 @@ class OperatorDescriptor:
     streaming = False
 
     def run(self, ctx, partition: int, inputs: list) -> list:
-        raise NotImplementedError
+        """Materialized execution.  A streaming operator runs its task
+        over the whole input as one frame: the same charges, in the same
+        order, as any frame split the executor's pipeline would use."""
+        if not self.streaming:
+            raise NotImplementedError
+        task = self.start(ctx, partition)
+        return task.push(inputs[0]) + task.finish()
 
     def prepare(self, config) -> None:
-        """Per-job compilation hook, called once before execution (when
-        ``config.executor.compile_expressions`` is on).  Operators that
-        carry scalar expressions override this to compile them into
-        closures via :func:`repro.hyracks.expressions.compile_expr`; the
-        compiled form must be byte-identical to interpretation.  The
-        default is a no-op, so expression-free operators (and operators
-        on jobs that skip preparation) always interpret."""
+        """Per-job compilation hook, called once before every job runs.
+        Operators that carry scalar expressions override this to compile
+        them into closures via
+        :func:`repro.hyracks.expressions.compile_expr` — the only way the
+        runtime evaluates an expression.  The default is a no-op for
+        expression-free operators."""
 
     def start(self, ctx, partition: int) -> OperatorTask:
         """Begin push-based execution; streaming operators override."""
@@ -210,11 +218,11 @@ class JobSpecification:
 def prepare_job(job: JobSpecification, config) -> None:
     """Compile every operator's expressions for one job execution.
 
-    Called by the cluster controller after ``validate()`` and before the
-    first attempt, gated by ``config.executor.compile_expressions`` —
-    compilation happens once per job, never per tuple, per partition, or
-    per retry (``prepare`` implementations are idempotent, so a re-run
-    job simply keeps its closures)."""
+    Called by the cluster controller for every job, after ``validate()``
+    and before the first attempt — compilation happens once per job,
+    never per tuple, per partition, or per retry (``prepare``
+    implementations are idempotent, so a re-run job simply keeps its
+    closures)."""
     from repro.observability.metrics import get_registry
 
     for op in job.operators:

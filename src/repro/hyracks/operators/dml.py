@@ -10,26 +10,36 @@ sums them into the statement's "N records affected" result.
 
 from __future__ import annotations
 
-from repro.hyracks.expressions import RuntimeExpr
+from repro.hyracks.expressions import RuntimeExpr, compile_expr
 from repro.hyracks.job import OperatorDescriptor
 
 
-class InsertOp(OperatorDescriptor):
+class _RecordWriterOp(OperatorDescriptor):
+    """Writes one record per input tuple, built by a record expression
+    compiled once per job."""
+
+    def __init__(self, dataset: str, record: RuntimeExpr):
+        self.dataset = dataset
+        self.record = record
+        self._record = None     # compiled record closure, set by prepare()
+
+    def prepare(self, config):
+        self._record = compile_expr(self.record)
+
+
+class InsertOp(_RecordWriterOp):
     """INSERT: record expression evaluated per input tuple; duplicates
     raise (and abort the statement)."""
 
     name = "insert"
 
-    def __init__(self, dataset: str, record: RuntimeExpr):
-        self.dataset = dataset
-        self.record = record
-
     def run(self, ctx, partition, inputs):
         txn_part = ctx.txn_partition(self.dataset, partition)
         before = ctx.node.io_snapshot()
+        record = self._record
         count = 0
         for tup in inputs[0]:
-            txn_part.insert(self.record.evaluate(tup))
+            txn_part.insert(record(tup))
             count += 1
         ctx.node.charge_io_delta(ctx, before)
         ctx.charge_cpu(count)
@@ -40,21 +50,18 @@ class InsertOp(OperatorDescriptor):
         return f"insert({self.dataset})"
 
 
-class UpsertOp(OperatorDescriptor):
+class UpsertOp(_RecordWriterOp):
     """UPSERT (Fig. 3(d)): insert or replace by primary key."""
 
     name = "upsert"
 
-    def __init__(self, dataset: str, record: RuntimeExpr):
-        self.dataset = dataset
-        self.record = record
-
     def run(self, ctx, partition, inputs):
         txn_part = ctx.txn_partition(self.dataset, partition)
         before = ctx.node.io_snapshot()
+        record = self._record
         count = 0
         for tup in inputs[0]:
-            txn_part.upsert(self.record.evaluate(tup))
+            txn_part.upsert(record(tup))
             count += 1
         ctx.node.charge_io_delta(ctx, before)
         ctx.charge_cpu(count)
@@ -74,13 +81,18 @@ class DeleteOp(OperatorDescriptor):
     def __init__(self, dataset: str, pk_exprs: list[RuntimeExpr]):
         self.dataset = dataset
         self.pk_exprs = list(pk_exprs)
+        self._pk_fns = None     # compiled key closures, set by prepare()
+
+    def prepare(self, config):
+        self._pk_fns = [compile_expr(e) for e in self.pk_exprs]
 
     def run(self, ctx, partition, inputs):
         txn_part = ctx.txn_partition(self.dataset, partition)
         before = ctx.node.io_snapshot()
+        pk_fns = self._pk_fns
         count = 0
         for tup in inputs[0]:
-            pk = tuple(e.evaluate(tup) for e in self.pk_exprs)
+            pk = tuple(f(tup) for f in pk_fns)
             if txn_part.delete(pk) is not None:
                 count += 1
         ctx.node.charge_io_delta(ctx, before)
@@ -92,7 +104,7 @@ class DeleteOp(OperatorDescriptor):
         return f"delete({self.dataset})"
 
 
-class LoadOp(OperatorDescriptor):
+class LoadOp(_RecordWriterOp):
     """LOAD DATASET: bulk ingestion *without* per-record transaction
     overhead (the initial-load path; the dataset must be empty in real
     AsterixDB — here we just bypass the WAL, as LOAD is redone, not
@@ -100,16 +112,13 @@ class LoadOp(OperatorDescriptor):
 
     name = "load"
 
-    def __init__(self, dataset: str, record: RuntimeExpr):
-        self.dataset = dataset
-        self.record = record
-
     def run(self, ctx, partition, inputs):
         storage = ctx.storage_partition(self.dataset, partition)
         before = ctx.node.io_snapshot()
+        record = self._record
         count = 0
         for tup in inputs[0]:
-            storage.upsert(self.record.evaluate(tup))
+            storage.upsert(record(tup))
             count += 1
         ctx.node.charge_io_delta(ctx, before)
         ctx.charge_cpu(count)

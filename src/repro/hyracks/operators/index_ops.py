@@ -10,16 +10,39 @@ from __future__ import annotations
 
 from repro.adm.comparators import comparable_tuples, tuple_key
 from repro.adm.values import ARectangle
-from repro.hyracks.expressions import RuntimeExpr
+from repro.hyracks.expressions import RuntimeExpr, compile_expr
 from repro.hyracks.job import OperatorDescriptor
 
 
-class PrimaryKeySearchOp(OperatorDescriptor):
-    """Primary-index point/range search: emits (pk..., record) like a
-    scan, but bounded.  Bound expressions are evaluated once against the
-    empty tuple (bounds are constants after optimization)."""
+class _RangeSearchOp(OperatorDescriptor):
+    """An index range search over ``lo``/``hi`` bound expressions (lists,
+    or None for unbounded), compiled once per job and evaluated once per
+    run against the empty tuple (bounds are constants after
+    optimization)."""
 
     num_inputs = 0
+    _lo_fns = _hi_fns = None    # compiled bound closures, set by prepare()
+
+    def prepare(self, config):
+        self._lo_fns = _compile_bound(self.lo)
+        self._hi_fns = _compile_bound(self.hi)
+
+    def _bounds(self) -> tuple:
+        return _eval_bound(self._lo_fns), _eval_bound(self._hi_fns)
+
+
+def _compile_bound(exprs):
+    return None if exprs is None else [compile_expr(e) for e in exprs]
+
+
+def _eval_bound(fns):
+    return None if fns is None else tuple(f(()) for f in fns)
+
+
+class PrimaryKeySearchOp(_RangeSearchOp):
+    """Primary-index point/range search: emits (pk..., record) like a
+    scan, but bounded."""
+
     name = "primary-search"
 
     def __init__(self, dataset: str, lo: list | None, hi: list | None,
@@ -30,15 +53,10 @@ class PrimaryKeySearchOp(OperatorDescriptor):
         self.lo_inclusive = lo_inclusive
         self.hi_inclusive = hi_inclusive
 
-    def _bound(self, exprs):
-        if exprs is None:
-            return None
-        return tuple(e.evaluate(()) for e in exprs)
-
     def run(self, ctx, partition, inputs):
         storage = ctx.storage_partition(self.dataset, partition)
         before = ctx.node.io_snapshot()
-        lo, hi = self._bound(self.lo), self._bound(self.hi)
+        lo, hi = self._bounds()
         out = []
         for pk, record in storage.scan(
                 lo, hi, lo_inclusive=self.lo_inclusive,
@@ -59,10 +77,9 @@ class PrimaryKeySearchOp(OperatorDescriptor):
         return f"primary-search({self.dataset})"
 
 
-class SecondaryBTreeSearchOp(OperatorDescriptor):
+class SecondaryBTreeSearchOp(_RangeSearchOp):
     """Secondary B+ tree search: emits primary-key tuples."""
 
-    num_inputs = 0
     name = "btree-search"
 
     def __init__(self, dataset: str, index_name: str,
@@ -75,17 +92,12 @@ class SecondaryBTreeSearchOp(OperatorDescriptor):
         self.lo_inclusive = lo_inclusive
         self.hi_inclusive = hi_inclusive
 
-    def _bound(self, exprs):
-        if exprs is None:
-            return None
-        return tuple(e.evaluate(()) for e in exprs)
-
     def run(self, ctx, partition, inputs):
         storage = ctx.storage_partition(self.dataset, partition)
         before = ctx.node.io_snapshot()
         out = [
             pk for pk in storage.search_btree(
-                self.index_name, self._bound(self.lo), self._bound(self.hi),
+                self.index_name, *self._bounds(),
                 lo_inclusive=self.lo_inclusive,
                 hi_inclusive=self.hi_inclusive)
         ]
@@ -98,7 +110,7 @@ class SecondaryBTreeSearchOp(OperatorDescriptor):
         return f"btree-search({self.dataset}.{self.index_name})"
 
 
-class ArrayBTreeSearchOp(OperatorDescriptor):
+class ArrayBTreeSearchOp(_RangeSearchOp):
     """Multi-valued (array) index search: emits *deduplicated* primary-key
     tuples.
 
@@ -110,7 +122,6 @@ class ArrayBTreeSearchOp(OperatorDescriptor):
     byte-identical to the scan plan — the residual re-derives the exact
     per-element multiplicity."""
 
-    num_inputs = 0
     name = "array-search"
 
     def __init__(self, dataset: str, index_name: str,
@@ -123,11 +134,6 @@ class ArrayBTreeSearchOp(OperatorDescriptor):
         self.lo_inclusive = lo_inclusive
         self.hi_inclusive = hi_inclusive
 
-    def _bound(self, exprs):
-        if exprs is None:
-            return None
-        return tuple(e.evaluate(()) for e in exprs)
-
     def run(self, ctx, partition, inputs):
         from repro.observability.metrics import get_registry
 
@@ -138,7 +144,7 @@ class ArrayBTreeSearchOp(OperatorDescriptor):
         out = []
         postings = 0
         for pk in storage.search_btree(
-                self.index_name, self._bound(self.lo), self._bound(self.hi),
+                self.index_name, *self._bounds(),
                 lo_inclusive=self.lo_inclusive,
                 hi_inclusive=self.hi_inclusive):
             postings += 1
@@ -168,9 +174,13 @@ class SecondaryRTreeSearchOp(OperatorDescriptor):
         self.dataset = dataset
         self.index_name = index_name
         self.window = window
+        self._window = None     # compiled window closure, set by prepare()
+
+    def prepare(self, config):
+        self._window = compile_expr(self.window)
 
     def run(self, ctx, partition, inputs):
-        window = self.window.evaluate(())
+        window = self._window(())
         if not isinstance(window, ARectangle):
             window = window.mbr()  # circles/polygons search by MBR
         storage = ctx.storage_partition(self.dataset, partition)
@@ -196,9 +206,13 @@ class InvertedSearchOp(OperatorDescriptor):
         self.dataset = dataset
         self.index_name = index_name
         self.text = text
+        self._text = None       # compiled text closure, set by prepare()
+
+    def prepare(self, config):
+        self._text = compile_expr(self.text)
 
     def run(self, ctx, partition, inputs):
-        text = self.text.evaluate(())
+        text = self._text(())
         storage = ctx.storage_partition(self.dataset, partition)
         before = ctx.node.io_snapshot()
         out = list(storage.search_keyword(self.index_name, text))

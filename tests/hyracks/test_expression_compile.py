@@ -1,14 +1,16 @@
-"""Per-job expression compilation (ISSUE-6).
+"""Per-job expression compilation.
 
-Two invariants are pinned here:
+Compiled closures are the only way the runtime evaluates an expression,
+so the expected values here are written out by hand:
 
-* **Agreement.**  For any expression tree, the closure returned by
-  ``compile_expr`` produces exactly what the tree-walking ``evaluate``
-  produces — including MISSING/null propagation order (MISSING beats
-  null), cross-type comparisons (incomparable -> SQL++ null), and
-  three-valued logic.  A hypothesis sweep generates random trees over
-  mixed-type tuples; structured nodes (quantifiers, CASE, constructors,
-  comprehensions) get targeted cases.
+* **Semantics.**  MISSING/null propagation order (MISSING beats null),
+  cross-type comparisons (incomparable -> SQL++ null), functions that
+  handle unknowns themselves, and the structured nodes (quantifiers,
+  constructors, comprehensions).  A hypothesis sweep over random trees
+  checks that ``compile_predicate`` passes exactly the tuples whose
+  compiled value is True.  More explicit values live in
+  ``test_expressions.py``; whole queries are checked against SQLite in
+  ``tests/oracle``.
 
 * **Observability.**  Compilation happens once per job (``prepare_job``),
   surfaced by the ``expr.compile_*`` counters, and the job-wide key
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adm.values import MISSING, Multiset
-from repro.common.config import ClusterConfig, ExecutorConfig, NodeConfig
+from repro.common.config import ClusterConfig, NodeConfig
 from repro.hyracks import (
     ClusterController,
     ColumnRef,
@@ -38,7 +40,6 @@ from repro.hyracks.expressions import (
     VarRef,
     compile_expr,
     compile_predicate,
-    evaluate_predicate,
     expr_size,
 )
 from repro.hyracks.keys import KeyCache, plain_key_bytes
@@ -68,8 +69,7 @@ VALUES = st.one_of(
 TUPLES = st.lists(VALUES, min_size=WIDTH, max_size=WIDTH).map(tuple)
 
 # total functions only: every registered impl here returns a value (no
-# type errors) for arbitrary operands, so interpreter and closure can be
-# compared on anything the generators produce
+# type errors) for arbitrary operands, so any generated tree evaluates
 _BINARY = ["eq", "neq", "lt", "le", "gt", "ge", "deep_equal", "and", "or"]
 _UNARY = ["not", "is_null", "is_missing", "is_unknown",
           "is_boolean", "is_number", "is_string"]
@@ -93,56 +93,62 @@ EXPRS = st.recursive(
 )
 
 
-class TestCompiledAgreement:
-    @settings(max_examples=200, deadline=None)
-    @given(expr=EXPRS, tup=TUPLES)
-    def test_compiled_matches_interpreted(self, expr, tup):
-        fn = expr._compile()
-        assert fn(tup) == expr.evaluate(tup)
+def ev(expr, tup=()):
+    return compile_expr(expr)(tup)
 
+
+class TestCompiledAgreement:
     @settings(max_examples=100, deadline=None)
     @given(expr=EXPRS, tup=TUPLES)
     def test_compiled_predicate_matches(self, expr, tup):
-        pred = compile_predicate(expr)
-        assert pred(tup) == evaluate_predicate(expr, tup)
+        # only True passes: false, null, MISSING and non-booleans reject
+        assert compile_predicate(expr)(tup) is (ev(expr, tup) is True)
 
     def test_missing_beats_null_in_argument_propagation(self):
         # numeric_add doesn't handle unknowns: all args evaluate first,
         # then MISSING wins over null regardless of argument order
         for args in ([Const(None), Const(MISSING)],
-                     [Const(MISSING), Const(None)]):
+                     [Const(MISSING), Const(None)],
+                     [ColumnRef(0), ColumnRef(1)],
+                     [ColumnRef(1), ColumnRef(0)],
+                     [ColumnRef(0), Const(MISSING)],
+                     [Const(MISSING), ColumnRef(0)]):
             expr = FunctionCall("numeric_add", args)
-            assert expr.evaluate(()) is MISSING
-            assert expr._compile()(()) is MISSING
+            assert ev(expr, (None, MISSING)) is MISSING
         expr = FunctionCall("numeric_add", [Const(None), Const(1)])
-        assert expr.evaluate(()) is None
-        assert expr._compile()(()) is None
+        assert ev(expr) is None
+        assert ev(FunctionCall("numeric_add", [ColumnRef(0), Const(1)]),
+                  (None,)) is None
 
     def test_cross_type_comparison_is_null(self):
-        expr = FunctionCall("eq", [Const(1), Const("a")])
-        assert expr.evaluate(()) is None
-        assert expr._compile()(()) is None
+        assert ev(FunctionCall("eq", [Const(1), Const("a")])) is None
+        assert ev(FunctionCall("lt", [ColumnRef(0), ColumnRef(1)]),
+                  ("a", [1])) is None
+        assert ev(FunctionCall("eq", [Const(1), Const(1.0)])) is True
 
     def test_unknown_handling_functions_see_raw_unknowns(self):
-        expr = FunctionCall("is_missing", [Const(MISSING)])
-        assert expr.evaluate(()) is True
-        assert expr._compile()(()) is True
-        expr = FunctionCall("and", [Const(False), Const(MISSING)])
-        assert expr.evaluate(()) is False
-        assert expr._compile()(()) is False
+        assert ev(FunctionCall("is_missing", [Const(MISSING)])) is True
+        assert ev(FunctionCall("is_null", [ColumnRef(0)]), (None,)) is True
+        assert ev(FunctionCall("and", [Const(False), Const(MISSING)])) \
+            is False
+        assert ev(FunctionCall("or", [Const(True), ColumnRef(0)]),
+                  (None,)) is True
 
 
 class TestStructuredNodes:
-    def _agree(self, expr, tup):
-        assert expr._compile()(tup) == expr.evaluate(tup)
-
     def test_quantified(self):
-        for some in (True, False):
-            for coll in ([1, 2, 3], [], None, MISSING, 5):
-                expr = Quantified(
-                    some, "x", Const(coll),
-                    FunctionCall("gt", [VarRef("x"), Const(1)]))
-                assert expr._compile()((0,)) == expr.evaluate((0,))
+        gt1 = FunctionCall("gt", [VarRef("x"), Const(1)])
+        expected = {  # coll -> (SOME, EVERY)
+            (1, 2, 3): (True, False),
+            (): (False, True),
+            None: (None, None),
+            MISSING: (MISSING, MISSING),
+            5: (None, None),
+        }
+        for coll, (some, every) in expected.items():
+            value = list(coll) if isinstance(coll, tuple) else coll
+            assert ev(Quantified(True, "x", Const(value), gt1)) is some
+            assert ev(Quantified(False, "x", Const(value), gt1)) is every
 
     def test_object_constructor_drops_missing_fields(self):
         expr = ObjectConstructor([
@@ -150,31 +156,30 @@ class TestStructuredNodes:
             (Const("b"), Const(MISSING)),       # dropped
             (Const(None), Const(2)),            # unknown name: dropped
         ])
-        assert expr.evaluate(()) == {"a": 1}
-        self._agree(expr, ())
+        assert ev(expr) == {"a": 1}
 
     def test_collection_constructors(self):
         expr = CollectionConstructor([Const(1), ColumnRef(0)])
-        self._agree(expr, (9,))
+        out = ev(expr, (9,))
+        assert out == [1, 9] and not isinstance(out, Multiset)
         bag = CollectionConstructor([Const(1), Const(1)], multiset=True)
-        assert bag._compile()(()) == Multiset([1, 1])
-        self._agree(bag, ())
+        out = ev(bag)
+        assert out == Multiset([1, 1]) and isinstance(out, Multiset)
 
     def test_comprehension_including_nested(self):
         inner = Comprehension(
             "y", VarRef("x"), None,
             FunctionCall("numeric_add", [VarRef("y"), Const(1)]))
         nested = Comprehension("x", ColumnRef(0), None, inner)
-        tup = ([[1, 2], [3]],)
-        assert nested.evaluate(tup) == [2, 3, 4]
-        self._agree(nested, tup)
+        assert ev(nested, ([[1, 2], [3]],)) == [2, 3, 4]
         filtered = Comprehension(
             "x", ColumnRef(0),
             FunctionCall("gt", [VarRef("x"), Const(1)]), VarRef("x"))
-        self._agree(filtered, ([1, 2, 3],))
-        for bad in (None, MISSING):
-            self._agree(Comprehension("x", Const(bad), None, VarRef("x")),
-                        ())
+        assert ev(filtered, ([1, 2, 3],)) == [2, 3]
+        assert ev(Comprehension("x", Const(None), None, VarRef("x"))) \
+            is None
+        assert ev(Comprehension("x", Const(MISSING), None, VarRef("x"))) \
+            is MISSING
 
 
 class TestKeyCache:
@@ -215,11 +220,10 @@ class TestKeyCache:
         assert (cache.hits, cache.misses) == (0, 0)
 
 
-def _config(**executor_kwargs):
+def _config():
     return ClusterConfig(
         num_nodes=1, partitions_per_node=2,
         node=NodeConfig(buffer_cache_pages=64),
-        executor=ExecutorConfig(**executor_kwargs),
     )
 
 
@@ -266,25 +270,6 @@ class TestJobCompilation:
         # the partitioning connectors canonicalized every routed tuple;
         # the join's build/probe reused those bytes through the job cache
         assert cache_hits.value - h0 > 0
-
-    def test_toggle_off_compiles_nothing_same_results(self, tmp_path):
-        registry = get_registry()
-        jobs = registry.counter("expr.compile_jobs")
-        j0 = jobs.value
-        cluster = ClusterController(
-            str(tmp_path / "off"), _config(compile_expressions=False))
-        try:
-            off = cluster.run_job(_join_job())
-        finally:
-            cluster.close()
-        assert jobs.value == j0
-        cluster = ClusterController(str(tmp_path / "on"), _config())
-        try:
-            on = cluster.run_job(_join_job())
-        finally:
-            cluster.close()
-        assert list(off.tuples) == list(on.tuples)
-        assert off.profile.simulated_us == on.profile.simulated_us
 
     def test_expr_size_counts_nodes(self):
         expr = FunctionCall("eq", [ColumnRef(0), Const(1)])

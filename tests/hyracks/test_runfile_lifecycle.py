@@ -9,8 +9,11 @@ group-by, join, LIMIT early-abandon, serial or parallel, even with
 faults injected mid-spill — zero temp files remain on any node.
 """
 
+import functools
+
 import pytest
 
+from repro.adm.comparators import compare
 from repro.adm.serializer import serialize_tuple
 from repro.common.config import ClusterConfig, ExecutorConfig, NodeConfig
 from repro.common.errors import StorageError
@@ -30,7 +33,6 @@ from repro.hyracks.operators import (
     ResultWriterOp,
 )
 from repro.hyracks.operators.base import TaskContext
-from repro.hyracks.operators.sort import order_key
 from repro.hyracks.profiler import PartitionCost
 from repro.hyracks.runfile import RunFileWriter
 from repro.observability.metrics import get_registry
@@ -222,7 +224,7 @@ class TestMergeSchedule:
             for i in range(50):
                 writer.write((r * 50 + i,))
             runs.append(writer.finish())
-        key = lambda t: order_key(t, [0], [False])  # noqa: E731
+        key = functools.cmp_to_key(lambda a, b: compare(a[0], b[0]))
         it = op._merge_iter(ctx, runs, key)
         assert next(it) == (0,)
         it.close()                          # LIMIT abandons the merge

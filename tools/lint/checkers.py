@@ -286,9 +286,10 @@ def check_temp_pairing(path: str, tree: ast.AST, source_lines) -> list:
 
 def _per_tuple_calls(loop: ast.AST):
     """Calls inside ``loop``'s body that dispatch per tuple: any
-    ``<x>.step(...)`` (the batched fold is ``step_many``) or
-    ``order_key(...)`` (the batched form is ``compile_order_key``),
-    excluding nested loops — the inner loop reports them itself."""
+    ``<x>.step(...)`` (the batched fold is ``step_many``) or a call named
+    ``order_key`` (the per-tuple sort key the runtime replaced with
+    ``compile_order_key``), excluding nested loops — the inner loop
+    reports them itself."""
     stack = list(loop.body) + list(loop.orelse)
     while stack:
         node = stack.pop()
@@ -310,9 +311,9 @@ def _per_tuple_calls(loop: ast.AST):
 def check_per_tuple_dispatch(path: str, tree: ast.AST, source_lines) -> list:
     """per-tuple: a ``for``/``while`` loop in the operator runtime calling
     ``AggregateState.step`` or ``order_key`` once per iteration — use the
-    batched ``step_many`` / ``compile_order_key`` forms (ISSUE-7).  The
-    per-tuple reference paths kept for the ``batch_execution=False``
-    toggle suppress with ``# lint: allow-per-tuple``."""
+    batched ``step_many`` / ``compile_order_key`` forms.  The runtime has
+    one frame-at-a-time path and no suppressed per-tuple loops; the check
+    keeps it that way."""
     findings = []
     seen = set()
     for loop in ast.walk(tree):
