@@ -240,18 +240,30 @@ class FeedManager:
             return feed.source.next_batch(feed.batch_size)
 
     def _ingest(self, feed: Feed, batch: list) -> int:
-        """Upsert ``batch`` record by record; a resilience fault mid-way
-        recovers the cluster (node restart + WAL replay for crashes) and
-        retries from the *same* record — it may or may not have committed
-        before the fault, and the upsert makes either answer correct."""
+        """Upsert ``batch`` record by record as one commit group: one log
+        force per node covers the whole batch, and the batch counts as
+        ingested only once those forces are done.  A resilience fault
+        anywhere in the batch, its forces included, recovers the cluster
+        (node restart + WAL replay for crashes) and replays the *whole*
+        batch: its commits on a crashed node may be lost, and the upsert
+        makes re-applying the ones that survived harmless."""
         cluster = self.instance.cluster
         limit = cluster.config.resilience.feed_retry_attempts
-        ingested = 0
         attempts = 0
-        i = 0
-        while i < len(batch):
+        while True:
+            ingested = failures = 0
             try:
-                cluster.insert_record(feed.dataset, batch[i], upsert=True)
+                with cluster.group_commit():
+                    for record in batch:
+                        try:
+                            cluster.insert_record(feed.dataset, record,
+                                                  upsert=True)
+                        except ResilienceFault:
+                            raise
+                        except AsterixError:
+                            failures += 1
+                        else:
+                            ingested += 1
             except ResilienceFault as fault:
                 attempts += 1
                 if attempts >= limit:
@@ -259,13 +271,9 @@ class FeedManager:
                 cluster.handle_fault(fault)
                 cluster.retry_policy.backoff(attempts, cluster.clock)
                 feed.stats.replays += 1
-                feed.stats.records_replayed += 1
+                feed.stats.records_replayed += len(batch)
                 get_registry().counter("resilience.feed_replays").inc()
                 continue
-            except AsterixError:
-                feed.stats.failures += 1
-            else:
-                feed.stats.records += 1
-                ingested += 1
-            i += 1
-        return ingested
+            feed.stats.failures += failures
+            feed.stats.records += ingested
+            return ingested

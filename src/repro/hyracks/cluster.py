@@ -41,6 +41,7 @@ docs/OBSERVABILITY.md and docs/ARCHITECTURE.md for the full tour).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import threading
@@ -439,6 +440,16 @@ class ClusterController:
         p = self.partition_of_key(pk)
         txn_part = self.node_of_partition(p).get_txn_partition(dataset, p)
         return txn_part.upsert(record) if upsert else txn_part.insert(record)
+
+    @contextlib.contextmanager
+    def group_commit(self):
+        """Open a commit group on every node: the entity transactions
+        committed inside (a feed batch, routed record by record) share
+        one log force per node, taken when the block ends."""
+        with contextlib.ExitStack() as stack:
+            for node in self.nodes:
+                stack.enter_context(node.txn.group_commit())
+            yield
 
     def delete_record(self, dataset: str, pk: tuple):
         p = self.partition_of_key(pk)

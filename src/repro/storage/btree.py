@@ -40,6 +40,8 @@ from repro.storage.file_manager import FileHandle
 _LEAF = 1
 _INTERIOR = 2
 _NO_PAGE = 0xFFFFFFFF
+_LEAF_HEADER = 7        # type byte, count:u16, next_leaf:u32
+_INTERIOR_HEADER = 3    # type byte, count:u16
 _META_MAGIC = b"ABTR"
 
 
@@ -83,7 +85,7 @@ class _Leaf:
         return cls(keys, values, next_leaf)
 
     def size(self) -> int:
-        total = 7
+        total = _LEAF_HEADER
         for key, value in zip(self.keys, self.values):
             total += 4 + len(serialize_tuple(key)) + len(value)
         return total
@@ -129,7 +131,7 @@ class _Interior:
         return cls(keys, children)
 
     def size(self) -> int:
-        total = 3 + 4 * len(self.children)
+        total = _INTERIOR_HEADER + 4 * len(self.children)
         for key in self.keys:
             total += 2 + len(serialize_tuple(key))
         return total
@@ -382,7 +384,10 @@ class BTree:
         cache.fm.append_page(handle)  # metadata page
         limit = int(cache.fm.page_size * fill_factor)
         leaves: list[tuple] = []      # (first_key, page_no)
+        # running page sizes: the same arithmetic as _Leaf.size() and
+        # _Interior.size(), without re-serializing every key per append
         current = _Leaf()
+        current_bytes = _LEAF_HEADER
         current_no = cache.fm.append_page(handle)
         count = 0
         prev_key = None
@@ -397,13 +402,15 @@ class BTree:
                 raise StorageError("bulk load input not sorted")
             prev_key = key
             entry = 4 + len(serialize_tuple(key)) + len(value)
-            if current.keys and current.size() + entry > limit:
+            if current.keys and current_bytes + entry > limit:
                 next_no = cache.fm.append_page(handle)
                 seal_leaf(next_no)
                 current = _Leaf()
+                current_bytes = _LEAF_HEADER
                 current_no = next_no
             current.keys.append(key)
             current.values.append(value)
+            current_bytes += entry
             count += 1
 
         if current.keys:
@@ -420,18 +427,21 @@ class BTree:
         while len(level) > 1:
             next_level = []
             node = _Interior(children=[level[0][1]])
+            node_bytes = _INTERIOR_HEADER + 4
             node_first = level[0][0]
             for first_key, page_no in level[1:]:
                 extra = 6 + len(serialize_tuple(first_key))
-                if node.size() + extra > limit and len(node.children) >= 2:
+                if node_bytes + extra > limit and len(node.children) >= 2:
                     no = cache.fm.append_page(handle)
                     tree._write_node(no, node)
                     next_level.append((node_first, no))
                     node = _Interior(children=[page_no])
+                    node_bytes = _INTERIOR_HEADER + 4
                     node_first = first_key
                 else:
                     node.keys.append(first_key)
                     node.children.append(page_no)
+                    node_bytes += extra
             no = cache.fm.append_page(handle)
             tree._write_node(no, node)
             next_level.append((node_first, no))

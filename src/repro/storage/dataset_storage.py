@@ -177,6 +177,7 @@ class PartitionStorage:
         # optional record validator (the dataset's declared type check),
         # installed by the metadata manager at CREATE DATASET time
         self.validator = None
+        self.wal_force = None
 
     def _storage_name(self, suffix: str) -> str:
         return f"{self.dataset_name}/p{self.partition_id}/{suffix}"
@@ -199,6 +200,7 @@ class PartitionStorage:
         storage.merge_policy = kwargs.get("merge_policy")
         storage.device_hint = kwargs.get("device_hint", partition_id)
         storage.validator = None
+        storage.wal_force = None
         common = dict(
             memory_budget_bytes=storage.memory_budget_bytes,
             merge_policy=storage.merge_policy,
@@ -218,8 +220,23 @@ class PartitionStorage:
                 index = LSMInvertedIndex.recover(
                     fm, cache, name, tokenizer=spec.kind,
                     gram_length=spec.gram_length, **common)
-            storage.secondaries[spec.name] = (spec, index)
+            storage._add_secondary(spec, index)
         return storage
+
+    def _add_secondary(self, spec: SecondaryIndexSpec, index) -> None:
+        self.secondaries[spec.name] = (spec, index)
+        self.set_wal_force(self.wal_force)
+
+    def set_wal_force(self, wal_force) -> None:
+        """Install the no-argument WAL rule every index of this partition
+        runs before it flushes (the transactional wrapper's; None: none).
+        Secondaries created later inherit it."""
+        self.wal_force = wal_force
+        for index in (self.primary,
+                      *(idx for _spec, idx in self.secondaries.values())):
+            lsm = index.btree if isinstance(index, LSMInvertedIndex) \
+                else index
+            lsm.before_flush = wal_force
 
     # -- primary key handling ---------------------------------------------------
 
@@ -255,7 +272,7 @@ class PartitionStorage:
                 self.fm, self.cache, name, tokenizer=spec.kind,
                 gram_length=spec.gram_length, **common
             )
-        self.secondaries[spec.name] = (spec, index)
+        self._add_secondary(spec, index)
         if build:
             for pk, raw in self.primary.scan():
                 self._secondary_insert(spec, index, deserialize(raw), pk, 0)

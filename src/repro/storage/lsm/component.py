@@ -77,6 +77,10 @@ _MIRROR_COUNTERS = {
     name: get_registry().counter(f"lsm.{name}") for name in _MIRRORED_FIELDS
 }
 
+#: wall time of each flush (without the merge it may trigger) and merge
+FLUSH_US = get_registry().histogram("lsm.flush_us")
+MERGE_US = get_registry().histogram("lsm.merge_us")
+
 
 @dataclass
 class LSMStats:

@@ -16,6 +16,7 @@ newest-wins semantics.  A merge policy consolidates disk components.
 from __future__ import annotations
 
 import heapq
+import time
 
 from repro.adm.comparators import order_part
 from repro.common.errors import DuplicateKeyError
@@ -25,6 +26,8 @@ from repro.storage.buffer_cache import BufferCache
 from repro.storage.file_manager import FileManager
 from repro.storage.lsm.component import (
     ANTIMATTER,
+    FLUSH_US,
+    MERGE_US,
     DiskComponent,
     LSMStats,
     decode,
@@ -59,6 +62,9 @@ class LSMBTree:
         #: when set, flush and merge build a per-component synopsis while
         #: they stream entries (see :mod:`repro.storage.lsm.synopsis`)
         self.synopsis_extractor = None
+        #: optional no-argument hook run before a flush writes anything:
+        #: the owner's WAL rule (see ``PartitionStorage.set_wal_force``)
+        self.before_flush = None
 
     # -- write path -----------------------------------------------------------
 
@@ -133,6 +139,9 @@ class LSMBTree:
         """Seal the memory component into a new disk component."""
         if len(self.memory) == 0:
             return None
+        started = time.perf_counter()
+        if self.before_flush is not None:
+            self.before_flush()
         seq = self._next_seq
         self._next_seq += 1
         handle = self.fm.create_file(f"{self.name}_c{seq}.btree",
@@ -164,6 +173,7 @@ class LSMBTree:
         self.stats.flushes += 1
         self.stats.entries_flushed += len(items)
         self._save_bloom(handle, bloom)
+        FLUSH_US.observe((time.perf_counter() - started) * 1e6)
         self._maybe_merge()
         self._save_manifest()
         return comp
@@ -182,6 +192,7 @@ class LSMBTree:
         merged = self.components[selection]
         if len(merged) < 2:
             return None
+        started = time.perf_counter()
         includes_oldest = selection.stop >= len(self.components)
         iterators = [c.index.range_scan() for c in merged]
         seq_lo = min(c.min_seq for c in merged)
@@ -230,6 +241,7 @@ class LSMBTree:
         self.stats.entries_merged += tree.count
         self._save_bloom(handle, bloom)
         self._save_manifest()
+        MERGE_US.observe((time.perf_counter() - started) * 1e6)
         return comp
 
     # -- introspection ------------------------------------------------------------------

@@ -19,12 +19,20 @@ tree.
 
 from __future__ import annotations
 
+import time
+
 from repro.adm.serializer import deserialize_tuple, serialize_tuple
 from repro.adm.values import ARectangle
 from repro.storage.btree import BTree
 from repro.storage.buffer_cache import BufferCache
 from repro.storage.file_manager import FileManager
-from repro.storage.lsm.component import ANTIMATTER, DiskComponent, LSMStats
+from repro.storage.lsm.component import (
+    ANTIMATTER,
+    FLUSH_US,
+    MERGE_US,
+    DiskComponent,
+    LSMStats,
+)
 from repro.storage.lsm.merge_policy import MergePolicy, PrefixMergePolicy
 from repro.storage.mem import MemBTree, MemRTree
 
@@ -48,6 +56,9 @@ class LSMRTree:
         self.components: list[DiskComponent] = []   # newest first
         self.stats = LSMStats()
         self._next_seq = 0
+        #: optional no-argument hook run before a flush writes anything
+        #: (see ``LSMBTree.before_flush``)
+        self.before_flush = None
 
     # -- write path -----------------------------------------------------------
 
@@ -136,6 +147,9 @@ class LSMRTree:
         has_deletes = any(v == b"-" for _, v in self.memory_deleted.items())
         if not has_matter and not has_deletes:
             return None
+        started = time.perf_counter()
+        if self.before_flush is not None:
+            self.before_flush()
         seq = self._next_seq
         self._next_seq += 1
         handle = self.fm.create_file(f"{self.name}_c{seq}.rtree",
@@ -176,6 +190,7 @@ class LSMRTree:
         self.memory_lsn = 0
         self.stats.flushes += 1
         self.stats.entries_flushed += len(entries)
+        FLUSH_US.observe((time.perf_counter() - started) * 1e6)
         self._maybe_merge()
         self._save_manifest()
         return comp
@@ -198,6 +213,7 @@ class LSMRTree:
         merged = self.components[selection]
         if len(merged) < 2:
             return None
+        started = time.perf_counter()
         includes_oldest = selection.stop >= len(self.components)
         # matter: newest-first walk with kill sets, as in search()
         seen: set[bytes] = set()
@@ -255,6 +271,7 @@ class LSMRTree:
         self.stats.merged_components += len(merged)
         self.stats.entries_merged += len(entries)
         self._save_manifest()
+        MERGE_US.observe((time.perf_counter() - started) * 1e6)
         return comp
 
     # -- introspection ------------------------------------------------------------

@@ -23,10 +23,15 @@ from __future__ import annotations
 import enum
 import os
 import struct
+import time
 from dataclasses import dataclass
 
 from repro.adm.serializer import deserialize_tuple, serialize_tuple
 from repro.common.errors import TransactionError
+from repro.observability.metrics import get_registry
+
+_FORCES = get_registry().counter("txn.wal_forces")
+_FORCE_US = get_registry().histogram("txn.wal_force_us")
 
 
 class LogRecordType(enum.IntEnum):
@@ -140,13 +145,17 @@ class LogManager:
         return record.lsn
 
     def flush(self) -> None:
-        """Force the log to stable storage (entity-commit durability)."""
+        """Force the log to stable storage (entity-commit durability).
+        The only call that fsyncs the log."""
         if self.injector is not None:
             self.injector.hit("wal.flush", lsn=self._append_lsn)
+        started = time.perf_counter()
         self._fd.flush()
         os.fsync(self._fd.fileno())
         self.durable_lsn = self._append_lsn
         self.flushes += 1
+        _FORCES.inc()
+        _FORCE_US.observe((time.perf_counter() - started) * 1e6)
 
     def crash(self) -> None:
         """Simulate losing the process: discard every appended-but-not-

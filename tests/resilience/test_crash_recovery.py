@@ -1,19 +1,29 @@
 """Crash-point tests: kill a node at every WAL flush boundary.
 
-Each entity transaction forces the log exactly once (at ENTITY_COMMIT),
-so during a K-record insert sequence the ``wal.flush`` site is hit K
-times — and a crash scheduled at hit N must leave exactly the first
-N - 1 records durable.  The parameterized sweep below proves that for
-every boundary: post-recovery contents == the committed prefix, and the
-at-least-once retry of the interrupted insert then converges to the full
-dataset.
+A single-record write outside a commit group forces the log exactly once
+(at ENTITY_COMMIT), so during a K-record insert sequence the
+``wal.flush`` site is hit K times — and a crash scheduled at hit N must
+leave exactly the first N - 1 records durable.  The parameterized sweep
+below proves that for every boundary: post-recovery contents == the
+committed prefix, and the at-least-once retry of the interrupted insert
+then converges to the full dataset.
+
+Writes that commit many records (a multi-record INSERT, a DELETE, a feed
+batch) share one force per partition run or per node and batch (group
+commit).  :class:`TestGroupCommitCrashPoints` crashes a node between a
+group's appends and its force, at the force, and inside a memory
+component flush in the group, and checks that the write still lands
+exactly once and that every acknowledged record survives a restart.
 """
 
 import pytest
 
-from repro.common.config import ClusterConfig
+from repro import connect
+from repro.common.config import ClusterConfig, NodeConfig
+from repro.feeds import FeedManager, GeneratorSource
 from repro.hyracks.cluster import ClusterController
 from repro.observability.metrics import get_registry
+from repro.storage.lsm import LSMBTree
 from repro.resilience import (
     FaultInjector,
     FaultRule,
@@ -148,3 +158,112 @@ class TestMultiNode:
         ids = sorted(rec["id"] for _, rec in cluster.scan_dataset("Users"))
         assert ids == list(range(20))
         cluster.close()
+
+
+#: crash point -> (site, memory-component pages).  One-page memory
+#: components make every group below flush; a flush starts with its
+#: WAL-rule force and then writes the component's pages.
+CRASH_POINTS = {
+    "before_group_force": ("txn.group_commit", 64),
+    "at_group_force": ("wal.flush", 64),
+    "at_flush_wal_force": ("wal.flush", 1),
+    "at_flush_page_write": ("disk.write_page", 1),
+}
+N = 200
+#: indexed, so deletes fill the secondary's memory component too
+PAD = "x" * 200
+
+
+def user(i):
+    return {"id": i, "pad": PAD}
+
+
+def ids(db):
+    return sorted(db.query("SELECT VALUE u.id FROM Users u;"))
+
+
+def restart_all(db):
+    for node in db.cluster.nodes:
+        db.cluster.crash_node(node.node_id)
+        db.cluster.restart_node(node.node_id)
+
+
+class TestGroupCommitCrashPoints:
+    @pytest.fixture(params=sorted(CRASH_POINTS))
+    def crash(self, request, tmp_path, monkeypatch):
+        site, pages = CRASH_POINTS[request.param]
+        injector = FaultInjector()
+        db = connect(str(tmp_path / "db"), ClusterConfig(
+            node=NodeConfig(memory_component_pages=pages)),
+            injector=injector)
+        db.execute("""
+            CREATE TYPE UserType AS { id: int };
+            CREATE DATASET Users(UserType) PRIMARY KEY id;
+            CREATE INDEX byPad ON Users(pad);
+        """)
+        # which LSM flushes the crash escaped from
+        crashed_flushes = []
+        flush = LSMBTree.flush
+
+        def watched_flush(index):
+            try:
+                return flush(index)
+            except NodeCrashFault:
+                crashed_flushes.append(index.name)
+                raise
+        monkeypatch.setattr(LSMBTree, "flush", watched_flush)
+
+        def arm():
+            injector.arm(FaultSchedule(rules=[
+                FaultRule(site=site, fault=NodeCrashFault, at_hit=1,
+                          node=0),
+            ]))
+        yield db, arm, injector
+        assert bool(crashed_flushes) == (pages == 1)
+        injector.disarm()
+        db.close()
+
+    def check(self, db, injector, before, expected):
+        assert len(injector.history) == 1         # the crash did happen
+        delta = get_registry().delta(before)
+        assert delta.get("resilience.node_crashes") == 1
+        assert ids(db) == expected
+        injector.disarm()
+        restart_all(db)           # acknowledged means durable
+        assert ids(db) == expected
+
+    def test_multi_record_insert(self, crash):
+        db, arm, injector = crash
+        body = ", ".join(f'{{"id": {i}, "pad": "{PAD}"}}' for i in range(N))
+        arm()
+        before = get_registry().snapshot()
+        # the job retry re-runs the statement; records an earlier attempt
+        # left durable are neither duplicate-key errors nor miscounted
+        assert db.execute(f"INSERT INTO Users ([{body}]);").rows == [N]
+        self.check(db, injector, before, list(range(N)))
+
+    def test_delete(self, crash):
+        db, arm, injector = crash
+        for i in range(N):
+            db.cluster.insert_record("Default.Users", user(i))
+        arm()
+        before = get_registry().snapshot()
+        cut = 3 * N // 4
+        rows = db.execute(f"DELETE FROM Users u WHERE u.id < {cut};").rows
+        assert rows == [cut]
+        self.check(db, injector, before, list(range(cut, N)))
+
+    def test_feed_batch(self, crash):
+        db, arm, injector = crash
+        feeds = FeedManager(db)
+        feeds.create_feed("users", GeneratorSource(user(i)
+                                                   for i in range(N)),
+                          batch_size=N)
+        feeds.connect_feed("users", "Users")
+        feeds.start_feed("users")
+        arm()
+        before = get_registry().snapshot()
+        assert feeds.pump("users") == N
+        feed = feeds.feeds["users"]
+        assert feed.pending == [] and feed.stats.replays == 1
+        self.check(db, injector, before, list(range(N)))

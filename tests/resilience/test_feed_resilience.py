@@ -86,9 +86,10 @@ class TestCrashDuringIngest:
     def test_crash_mid_batch_replays_without_duplicates(self, db):
         instance, injector = db
         feeds = start_feed(instance, records(24))
-        # kill node 0 at its 5th entity commit during the pump
+        # one log force per node per batch (group commit): kill node 0
+        # at the force of the second of the pump's three batches
         injector.arm(FaultSchedule(rules=[
-            FaultRule(site="wal.flush", fault=NodeCrashFault, at_hit=5,
+            FaultRule(site="wal.flush", fault=NodeCrashFault, at_hit=2,
                       node=0),
         ]))
         before = get_registry().snapshot()
@@ -118,8 +119,9 @@ class TestCrashDuringIngest:
             CREATE DATASET Messages(MsgType) PRIMARY KEY messageId;
         """)
         feeds = start_feed(instance, records(8))
+        # the single batch's group force on node 0
         injector.arm(FaultSchedule(rules=[
-            FaultRule(site="wal.flush", fault=NodeCrashFault, at_hit=3,
+            FaultRule(site="wal.flush", fault=NodeCrashFault, at_hit=1,
                       node=0),
         ]))
         with pytest.raises(NodeCrashFault):

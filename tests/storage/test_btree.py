@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adm import serialize
+from repro.adm.serializer import serialize_tuple
 from repro.common.errors import DuplicateKeyError, StorageError
 from repro.storage import BTree, BufferCache
+from repro.storage.btree import _Interior, _Leaf
 
 
 def val(i):
@@ -185,6 +187,65 @@ class TestBulkLoad:
         reopened = BTree.open(cache, handle)
         assert reopened.count == 100
         assert reopened.search((42,)) == val(42)
+
+
+def _levels(tree):
+    """The tree's nodes, level by level from the leaves up, each level
+    left to right."""
+    levels = [[tree._read_node(tree.root_page)]]
+    while isinstance(levels[-1][0], _Interior):
+        levels.append([tree._read_node(child) for node in levels[-1]
+                       for child in node.children])
+    return levels[::-1]
+
+
+def _first_key(tree, node):
+    while isinstance(node, _Interior):
+        node = tree._read_node(node.children[0])
+    return node.keys[0]
+
+
+@given(
+    count=st.integers(1, 800),
+    seed=st.integers(0, 2 ** 32),
+    fill_factor=st.floats(0.3, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_bulk_load_packs_pages_greedily(tmp_path_factory, count, seed,
+                                        fill_factor):
+    """Property: bulk load packs each page until the next entry would
+    overflow ``page_size * fill_factor``.  Every sealed node fits the
+    limit by ``_Leaf.size()`` / ``_Interior.size()`` (unless it holds the
+    minimum a node must: one leaf entry, two children) and would overflow
+    it with the next entry; this pins the page layout, and with it the
+    simulated I/O, of every flush and merge."""
+    from repro.storage import FileManager, IODevice
+
+    root = tmp_path_factory.mktemp("bulk")
+    fm = FileManager([IODevice(0, str(root))], page_size=512)
+    cache = BufferCache(fm, num_pages=32)
+    rng = random.Random(seed)
+    pairs = [(("k" * rng.randrange(40), i), b"v" * rng.randrange(121))
+             for i in range(count)]
+    pairs.sort(key=lambda pair: pair[0])
+    tree = BTree.bulk_load(cache, fm.create_file("t"), pairs,
+                           fill_factor=fill_factor)
+    limit = int(512 * fill_factor)
+    levels = _levels(tree)
+    leaves = levels[0]
+    assert [k for leaf in leaves for k in leaf.keys] == [k for k, _ in pairs]
+    for leaf, nxt in zip(leaves, leaves[1:]):
+        assert isinstance(leaf, _Leaf)
+        assert leaf.size() <= limit or len(leaf.keys) == 1
+        entry = 4 + len(serialize_tuple(nxt.keys[0])) + len(nxt.values[0])
+        assert leaf.size() + entry > limit
+    for level in levels[1:]:
+        for node, nxt in zip(level, level[1:]):
+            assert node.size() <= limit or len(node.children) == 2
+            extra = 6 + len(serialize_tuple(_first_key(tree, nxt)))
+            assert node.size() + extra > limit
+    assert len(levels[-1]) == 1 and tree.height == len(levels)
+    fm.close()
 
 
 class TestSmallCachePressure:

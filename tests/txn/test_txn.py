@@ -346,3 +346,118 @@ class TestRecovery:
         RecoveryManager(log).recover({("ds", 0): ps})
         assert ps.count() == 5
         fm2.close()
+
+
+class TestGroupCommit:
+    def test_one_force_covers_the_group(self, stack):
+        fm, cache, log = stack
+        txn = TransactionManager(log)
+        tp = TransactionalPartition(make_partition(fm, cache), txn)
+        with txn.group_commit():
+            for i in range(10):
+                tp.insert({"id": i})
+            assert log.flushes == 0 and txn.commits == 10
+            # every record is its own entity transaction: lock released
+            assert txn.locks.active_locks == 0
+        assert log.flushes == 1
+        last_commit = [r.lsn for r in log.scan()
+                       if r.type is LogRecordType.ENTITY_COMMIT][-1]
+        assert log.durable_lsn > last_commit
+        # outside a group every commit forces again
+        tp.insert({"id": 10})
+        assert log.flushes == 2
+
+    def test_nested_groups_force_once(self, stack):
+        fm, cache, log = stack
+        txn = TransactionManager(log)
+        tp = TransactionalPartition(make_partition(fm, cache), txn)
+        with txn.group_commit():
+            with txn.group_commit():
+                tp.insert({"id": 1})
+            assert log.flushes == 0
+            tp.insert({"id": 2})
+        assert log.flushes == 1
+
+    def test_empty_group_does_not_force(self, stack):
+        fm, cache, log = stack
+        txn = TransactionManager(log)
+        with txn.group_commit():
+            pass
+        assert log.flushes == 0
+
+    def test_resilience_fault_skips_the_force(self, stack):
+        from repro.resilience import NodeCrashFault
+
+        fm, cache, log = stack
+        txn = TransactionManager(log)
+        tp = TransactionalPartition(make_partition(fm, cache), txn)
+        with pytest.raises(NodeCrashFault):
+            with txn.group_commit():
+                tp.insert({"id": 1})
+                raise NodeCrashFault("node died", site="test", node=0)
+        assert log.flushes == 0         # nothing acknowledged
+        assert txn.group_depth == 0 and txn.group_commit_lsn == 0
+        log.crash()                     # the unforced commit dies
+        reopened = LogManager(log.path)
+        assert list(reopened.scan()) == []
+        reopened.close()
+
+    def test_other_errors_still_force_the_prefix(self, stack):
+        from repro.common.errors import DuplicateKeyError
+
+        fm, cache, log = stack
+        txn = TransactionManager(log)
+        tp = TransactionalPartition(make_partition(fm, cache), txn)
+        with pytest.raises(DuplicateKeyError):
+            with txn.group_commit():
+                tp.insert({"id": 1})
+                tp.insert({"id": 1})
+        assert log.flushes == 1
+        assert txn.aborts == 1 and txn.commits == 1
+
+    def test_flush_inside_group_forces_its_commits_first(self, stack):
+        """The WAL rule: no disk component holds an unforced commit."""
+        fm, cache, log = stack
+        txn = TransactionManager(log)
+        storage = make_partition(fm, cache, budget=600)
+        storage.create_secondary(SecondaryIndexSpec("byX", "btree", ("x",)))
+        tp = TransactionalPartition(storage, txn)
+        with txn.group_commit():
+            for i in range(40):
+                tp.insert({"id": i, "x": f"value-{i:04d}"})
+                for _spec, index in [(None, storage.primary),
+                                     *storage.secondaries.values()]:
+                    for comp in index.components:
+                        assert comp.lsn < log.durable_lsn
+        assert storage.primary.stats.flushes >= 2
+        # one force per flush that found unforced commits, plus the group's
+        assert 2 <= log.flushes < 40
+
+
+class TestStreamingRecovery:
+    def test_interleaved_transactions_replay_at_commit(self, stack, tmp_path):
+        fm, cache, log = stack
+
+        def update(txn_id, key, x):
+            log.append(LogRecord(LogRecordType.UPDATE, txn_id=txn_id,
+                                 dataset="ds", partition=0, key=(key,),
+                                 value=serialize({"id": key, "x": x})))
+
+        def end(txn_id, rtype):
+            log.append(LogRecord(rtype, txn_id=txn_id, dataset="ds"))
+
+        update(1, 1, "a")
+        update(2, 2, "b")          # 2 is still open when 1 commits
+        end(1, LogRecordType.ENTITY_COMMIT)
+        update(3, 3, "c")
+        end(3, LogRecordType.ABORT)
+        update(4, 1, "a2")         # a later committed version of key 1
+        end(4, LogRecordType.ENTITY_COMMIT)
+        update(5, 5, "e")          # never committed: the crash caught it
+        end(2, LogRecordType.ENTITY_COMMIT)
+        log.flush()
+        ps, recovery, fm2 = crash_and_recover(tmp_path, fm, cache, log)
+        assert recovery.replayed == 3
+        assert recovery.skipped == 2
+        assert {pk[0]: r["x"] for pk, r in ps.scan()} == {1: "a2", 2: "b"}
+        fm2.close()

@@ -4,12 +4,13 @@
 Runs the same deterministic query + feed-ingest workload twice — once
 clean, once under a seeded :class:`~repro.resilience.FaultSchedule` that
 injects four fault types (feed-source drop, node crash at a WAL flush
-boundary, operator failure, disk I/O error) — and asserts that:
+boundary and between a commit group's appends and its log force,
+operator failure, disk I/O error) — and asserts that:
 
 * every query result collected along the way is identical,
 * the final dataset state (canonical serialization of full scans) is
   identical, digest included,
-* at least three distinct fault kinds actually fired,
+* every scheduled rule fired, and at least three distinct fault kinds,
 * the ``resilience.*`` metrics show at least one WAL replay and at least
   one job retry, so the equivalence was earned, not vacuous,
 * zero run files remain on any node after either run — the workload's
@@ -85,13 +86,17 @@ def message_stream():
 
 
 def make_schedule(seed: int) -> FaultSchedule:
-    """Four fault types against four different sites.  Node-scoped rules
+    """Four fault types against five different sites.  Node-scoped rules
     are pinned (per-node hit streams are serialized, hence exactly
-    reproducible); the crash lands mid-ingest at a WAL flush boundary so
-    recovery must replay the log."""
+    reproducible); the crashes land mid-ingest — one at a WAL flush
+    boundary, one after a feed batch's commits were appended but before
+    their group force — so recovery must replay the log and the feed
+    must replay the whole batch."""
     return FaultSchedule(seed=seed, rules=[
         FaultRule(site="feed.next_batch", fault=FeedSourceFault, at_hit=2),
         FaultRule(site="wal.flush", fault=NodeCrashFault, at_hit=10,
+                  node=0),
+        FaultRule(site="txn.group_commit", fault=NodeCrashFault, at_hit=4,
                   node=0),
         FaultRule(site="executor.operator", fault=OperatorFault, at_hit=3,
                   node=1),
@@ -207,9 +212,12 @@ def main(argv=None) -> int:
                        == chaos.pop("_state_canonical"))
     metrics = chaos["metrics"]
     kinds_fired = sorted({f["fault"] for f in chaos["fault_firings"]})
+    fired = {(f["site"], f["node"]) for f in chaos["fault_firings"]}
     checks = {
         "queries_identical": queries_identical,
         "state_identical": state_identical,
+        "every_rule_fired": all((rule.site, rule.node) in fired
+                                for rule in schedule.rules),
         "fault_kinds_fired_>=3": len(kinds_fired) >= 3,
         "wal_replays_>=1": metrics.get("resilience.wal_replays", 0) >= 1,
         "job_retries_>=1": metrics.get("resilience.job_retries", 0) >= 1,
